@@ -64,6 +64,14 @@ class PipelineConfig:
     #: span (the simulator charges this inside the engine's CPU stage)
     serialize_us_per_command: float = 2.2
 
+    def __post_init__(self) -> None:
+        # 0 is LZ77's "unbounded chain"; a negative bound has no meaning.
+        if self.compression_max_chain < 0:
+            raise ValueError(
+                "compression_max_chain must be >= 0, got "
+                f"{self.compression_max_chain}"
+            )
+
 
 @dataclass
 class FrameEgress:
