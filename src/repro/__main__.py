@@ -611,13 +611,28 @@ def _cmd_postmortem(args: argparse.Namespace) -> None:
         print("postmortem smoke: ok")
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type for ``--duration``: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number of seconds: {text!r}"
+        ) from None
+    if not (0.0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {text!r}"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GBooster reproduction experiment runner",
     )
     parser.add_argument(
-        "--duration", type=float, default=60.0,
+        "--duration", type=_positive_seconds, default=60.0,
         help="simulated session length in seconds (default 60)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

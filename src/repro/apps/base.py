@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.gles import enums as gl
@@ -128,6 +129,20 @@ class SceneState:
         # light input and only approach the burst level under sustained
         # interaction, matching how game cameras respond.
         return min(1.0, base + (burst - base) * self.activity ** 1.6)
+
+
+@lru_cache(maxsize=64)
+def _vertex_period(base: int) -> bytes:
+    """One 80-word period of vertex bytes for ``base`` (0..63).
+
+    Word ``i`` depends only on ``i % 16`` and ``i % 5``, so the stream
+    repeats every 80 words and a payload of any length is a slice of it.
+    """
+    out = bytearray()
+    for i in range(80):
+        low = (base + (i % 16) * 3) & 0x3F  # short-period sweep
+        out += bytes((low, (i % 5) * 16, 0x3E, 0x41))
+    return bytes(out)
 
 
 class CommandBatchBuilder:
@@ -308,12 +323,9 @@ class CommandBatchBuilder:
         slowly varying low byte and near-constant upper bytes, giving the
         LZ compressor the redundancy genuine geometry has.
         """
-        out = bytearray()
-        base = (seed * 2654435761 + 12345) & 0x3F
-        for i in range(vertices * 5):  # pos3 + uv2, 4 bytes each
-            low = (base + (i % 16) * 3) & 0x3F  # short-period sweep
-            out += bytes((low, (i % 5) * 16, 0x3E, 0x41))
-        return bytes(out)
+        size = vertices * 20  # pos3 + uv2, 4 bytes each
+        period = _vertex_period((seed * 2654435761 + 12345) & 0x3F)
+        return (period * -(-size // len(period)))[:size]
 
     def _rotation_matrix(self, angle_deg: float) -> Tuple[float, ...]:
         a = math.radians(angle_deg)

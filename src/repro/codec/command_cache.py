@@ -12,14 +12,26 @@ invariant the property tests hammer on.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.gles.commands import GLCommand
 
 # Wire size of a cache reference: 2-byte marker + 8-byte key digest.
 REFERENCE_BYTES = 10
+REFERENCE_MARKER = b"\xCA\xFE"
+
+
+def _key_digest(key: Tuple) -> bytes:
+    """Stable 8-byte digest of a cache key for the wire reference.
+
+    ``hash()`` is randomized per process (PYTHONHASHSEED), which made the
+    reference bytes — and every downstream compressed size — differ
+    between runs of the same seed.
+    """
+    return hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
 
 
 @dataclass
@@ -66,7 +78,8 @@ class LRUCommandCache:
         self.stats.hits += 1
         return entry
 
-    def insert(self, key: Tuple, wire: bytes) -> None:
+    def insert(self, key: Tuple, wire: bytes) -> Optional[Tuple]:
+        """Cache ``wire`` under ``key``; returns the key evicted, if any."""
         if key in self._entries:
             # Refresh both recency AND the stored bytes: a re-inserted key
             # may carry different wire bytes (e.g. after the sender evicted
@@ -75,11 +88,13 @@ class LRUCommandCache:
             self._entries[key] = wire
             self._entries.move_to_end(key)
             self.stats.refreshes += 1
-            return
+            return None
         self._entries[key] = wire
         if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
             self.stats.evictions += 1
+            return evicted
+        return None
 
     def keys_in_order(self) -> Tuple[Tuple, ...]:
         """Oldest-to-newest key order (exposed for consistency checks)."""
@@ -97,11 +112,20 @@ class CachePair:
     send a reference (cache hit on the sender) or the full payload (miss;
     both sides then insert).  ``decode`` replays the same rule on the
     receiver and returns the command's wire bytes.
+
+    ``references`` maps cached keys to their wire references
+    (:data:`REFERENCE_MARKER` + :func:`_key_digest`).  A reference is
+    computed on its key's first hit, not on insert, since most misses
+    never hit again and a set-up upload's key holds the whole texture; it
+    is dropped when the key is evicted, so the store never outgrows the
+    cache.  Later hits whose key only compares equal (``-0.0`` for
+    ``0.0``) are sent that same reference.
     """
 
     def __init__(self, capacity: int = 4096):
         self.sender = LRUCommandCache(capacity)
         self.receiver = LRUCommandCache(capacity)
+        self.references: Dict[Tuple, bytes] = {}
 
     def encode(self, cmd: GLCommand, wire: bytes) -> Tuple[int, bool]:
         """Returns ``(bytes_on_wire, was_hit)`` for this command."""
@@ -114,9 +138,13 @@ class CachePair:
                     "cache desync: sender hit but receiver miss for "
                     f"{cmd.name}"
                 )
+            if key not in self.references:
+                self.references[key] = REFERENCE_MARKER + _key_digest(key)
             return REFERENCE_BYTES, True
-        self.sender.insert(key, wire)
+        evicted = self.sender.insert(key, wire)
         self.receiver.insert(key, wire)
+        if evicted is not None:
+            self.references.pop(evicted, None)
         return len(wire), False
 
     def verify_consistent(self) -> bool:

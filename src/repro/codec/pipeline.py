@@ -11,9 +11,7 @@ disable stages independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-import hashlib
+from typing import Callable, List, Optional
 
 from repro.codec.command_cache import CachePair
 from repro.codec.fusion import FusionStats, fuse_commands
@@ -31,16 +29,6 @@ from repro.obs.spans import OpenSpan, SpanRecorder
 # subject to nominal-stream scaling.
 REPLAY_HIT_MARKER = b"\xCA\xFD"
 REPLAY_HEADER_BYTES = 2 + 8 + 8 + 1 + 2
-
-
-def _key_digest(key: Tuple) -> bytes:
-    """Stable 8-byte digest of a cache key for the wire reference.
-
-    ``hash()`` is randomized per process (PYTHONHASHSEED), which made the
-    reference bytes — and every downstream compressed size — differ
-    between runs of the same seed.
-    """
-    return hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
 
 
 @dataclass
@@ -165,12 +153,13 @@ class CommandPipeline:
         batch = bytearray()
         after_cache = 0
         if self.config.cache_enabled:
+            references = self.cache.references
             for cmd, wire in zip(originals, wires):
                 size, hit = self.cache.encode(cmd, wire)
                 after_cache += size
                 if hit:
                     cache_hits += 1
-                    batch += b"\xCA\xFE" + _key_digest(cmd.key())
+                    batch += references[cmd.key()]
                 else:
                     batch += wire
         else:

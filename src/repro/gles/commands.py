@@ -73,16 +73,46 @@ class GLCommand:
     args: Tuple[Any, ...] = ()
     metadata: Dict[str, Any] = field(default_factory=dict)
 
+    #: memo of :meth:`key` (not a dataclass field: no part of ==, repr or
+    #: the constructor)
+    _key = None
+
     @property
     def spec(self) -> CommandSpec:
         return command_spec(self.name)
 
     def key(self) -> Tuple[str, Tuple[Any, ...]]:
-        """Hashable identity used by the LRU command cache (§V-A)."""
-        return (self.name, _freeze(self.args))
+        """Hashable identity used by the LRU command cache (§V-A).
+
+        A flat tuple of immutable atoms is already its own frozen form, so
+        its key is ``(name, args)`` and is remembered on the instance; the
+        memo is honoured only while ``name`` and ``args`` are the very
+        objects it was built from.  Any other shape is frozen on every
+        call, so a mutable argument can never serve a stale key.
+        """
+        memo = self._key
+        args = self.args
+        if memo is not None and memo[1] is args and memo[0] is self.name:
+            return memo
+        if type(args) is tuple and _ATOMS.issuperset(map(type, args)):
+            memo = self._key = (self.name, args)
+            return memo
+        return (self.name, _freeze(args))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The key memo is a cache, not state: pickles stay as they were.
+        state = self.__dict__
+        if "_key" in state:
+            state = {k: v for k, v in state.items() if k != "_key"}
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GLCommand({self.name}, args={self.args!r})"
+
+
+#: argument types that are immutable and freeze to themselves; exact types
+#: only, since a subclass (a named tuple, say) could freeze differently
+_ATOMS = frozenset({int, float, bool, str, bytes, type(None)})
 
 
 def _freeze(value: Any) -> Any:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.gles import enums as gl
 from repro.gles.commands import (
     COMMANDS,
+    CommandSpec,
     GLCommand,
     ParamType,
     command_spec,
@@ -57,6 +58,47 @@ class ClientArray:
         return len(self.data)
 
 
+def _var_string(value: Any) -> Tuple[int, bytes]:
+    encoded = str(value).encode("utf-8")
+    return len(encoded), encoded
+
+
+def _var_blob(value: Any) -> Tuple[int, bytes]:
+    data = b"" if value is None else bytes(value)
+    return len(data), data
+
+
+def _var_int_array(value: Any) -> Tuple[int, bytes]:
+    items = tuple(int(v) for v in (value or ()))
+    return len(items), struct.pack(f"<{len(items)}i", *items)
+
+
+def _var_float_array(value: Any) -> Tuple[int, bytes]:
+    items = tuple(float(v) for v in (value or ()))
+    return len(items), struct.pack(f"<{len(items)}f", *items)
+
+
+def _var_deferred(value: Any) -> Tuple[int, bytes]:
+    if not isinstance(value, (bytes, bytearray)):
+        # By the time a deferred command is serialized its pointer argument
+        # must have been resolved to concrete bytes.
+        raise SerializationError(
+            "deferred pointer was not resolved before serialization; "
+            "route the command through CommandSerializer"
+        )
+    return len(value), bytes(value)
+
+
+#: variable-width kind -> ``value -> (count prefix, data)``
+_VAR_ENCODERS = {
+    ParamType.STRING: _var_string,
+    ParamType.BLOB: _var_blob,
+    ParamType.INT_ARRAY: _var_int_array,
+    ParamType.FLOAT_ARRAY: _var_float_array,
+    ParamType.DEFERRED_POINTER: _var_deferred,
+}
+
+
 def _pack_value(kind: ParamType, value: Any, out: bytearray) -> None:
     if kind == ParamType.INT:
         out += struct.pack("<i", int(value))
@@ -66,34 +108,10 @@ def _pack_value(kind: ParamType, value: Any, out: bytearray) -> None:
         out += struct.pack("<B", 1 if value else 0)
     elif kind == ParamType.FLOAT:
         out += struct.pack("<f", float(value))
-    elif kind == ParamType.STRING:
-        encoded = str(value).encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-    elif kind == ParamType.BLOB:
-        data = b"" if value is None else bytes(value)
-        out += struct.pack("<I", len(data))
+    else:
+        count, data = _VAR_ENCODERS[kind](value)
+        out += struct.pack("<I", count)
         out += data
-    elif kind == ParamType.INT_ARRAY:
-        items = tuple(int(v) for v in (value or ()))
-        out += struct.pack("<I", len(items))
-        out += struct.pack(f"<{len(items)}i", *items)
-    elif kind == ParamType.FLOAT_ARRAY:
-        items = tuple(float(v) for v in (value or ()))
-        out += struct.pack("<I", len(items))
-        out += struct.pack(f"<{len(items)}f", *items)
-    elif kind == ParamType.DEFERRED_POINTER:
-        # By the time a deferred command is serialized its pointer argument
-        # must have been resolved to concrete bytes.
-        if not isinstance(value, (bytes, bytearray)):
-            raise SerializationError(
-                "deferred pointer was not resolved before serialization; "
-                "route the command through CommandSerializer"
-            )
-        out += struct.pack("<I", len(value))
-        out += bytes(value)
-    else:  # pragma: no cover - registry is closed
-        raise SerializationError(f"unhandled param kind {kind}")
 
 
 def _unpack_value(kind: ParamType, buf: bytes, off: int) -> Tuple[Any, int]:
@@ -128,11 +146,27 @@ def _unpack_value(kind: ParamType, buf: bytes, off: int) -> Tuple[Any, int]:
 
 def serialize_command(cmd: GLCommand) -> bytes:
     """Serialize one command to its wire representation."""
-    spec = command_spec(cmd.name)
-    if len(cmd.args) != spec.arity:
+    packer = _PACKERS.get(cmd.name)
+    if packer is None:
+        command_spec(cmd.name)  # raises the registry's KeyError
+    arity, pack = packer
+    if len(cmd.args) != arity:
         raise SerializationError(
-            f"{cmd.name}: expected {spec.arity} args, got {len(cmd.args)}"
+            f"{cmd.name}: expected {arity} args, got {len(cmd.args)}"
         )
+    try:
+        return pack(cmd.args)
+    except Exception:
+        # Coercions the packer skips (a float in an INT slot, a negative
+        # ENUM, a numeric string) and every error go through the
+        # per-parameter loop, which produces the same bytes or raises the
+        # same error as it always has.
+        return _serialize_params(cmd)
+
+
+def _serialize_params(cmd: GLCommand) -> bytes:
+    """The per-parameter reference encoder behind :func:`serialize_command`."""
+    spec = COMMANDS[cmd.name]
     payload = bytearray()
     for param, value in zip(spec.params, cmd.args):
         try:
@@ -144,6 +178,62 @@ def serialize_command(cmd: GLCommand) -> bytes:
             ) from exc
     header = _HEADER.pack(MAGIC, OPCODES[cmd.name], len(payload))
     return header + bytes(payload)
+
+
+# -- compiled packers ----------------------------------------------------------
+#
+# One packer per entry point, built at import.  Fixed-width parameters share
+# a ``struct.Struct`` with the header; the one variable-width parameter an
+# entry point may have puts its 4-byte count at the end of that struct, its
+# data after it, and the fixed-width parameters that follow it in a second
+# struct.  A packer hands argument values to ``struct`` as they are, so it
+# only succeeds where that equals the reference encoder's coercion: ints
+# for INT, ints in [0, 2**32) for ENUM, any truth value for BOOL (``?``
+# packs 1/0) and anything ``float()`` accepts numerically for FLOAT.
+# Anything else raises, and :func:`serialize_command` falls back to the loop.
+
+_FIXED_CODES = {
+    ParamType.INT: "i",
+    ParamType.ENUM: "I",
+    ParamType.BOOL: "?",
+    ParamType.FLOAT: "f",
+}
+
+
+def _compile_packer(spec: CommandSpec) -> Callable[[Tuple[Any, ...]], bytes]:
+    opcode = OPCODES[spec.name]
+    kinds = [param.kind for param in spec.params]
+    variable = [i for i, kind in enumerate(kinds) if kind in _VAR_ENCODERS]
+    if not variable:
+        head = struct.Struct("<HHI" + "".join(_FIXED_CODES[k] for k in kinds))
+        size = head.size - _HEADER.size
+
+        def pack_fixed(args: Tuple[Any, ...]) -> bytes:
+            return head.pack(MAGIC, opcode, size, *args)
+        return pack_fixed
+
+    (index,) = variable     # no entry point has two variable-width params
+    encode = _VAR_ENCODERS[kinds[index]]
+    head = struct.Struct(
+        "<HHI" + "".join(_FIXED_CODES[k] for k in kinds[:index]) + "I"
+    )
+    tail = struct.Struct(
+        "<" + "".join(_FIXED_CODES[k] for k in kinds[index + 1:])
+    )
+    fixed = head.size - _HEADER.size + tail.size
+
+    def pack_variable(args: Tuple[Any, ...]) -> bytes:
+        count, data = encode(args[index])
+        return head.pack(
+            MAGIC, opcode, fixed + len(data), *args[:index], count
+        ) + data + tail.pack(*args[index + 1:])
+    return pack_variable
+
+
+#: entry-point name -> (arity, compiled packer)
+_PACKERS: Dict[str, Tuple[int, Callable[[Tuple[Any, ...]], bytes]]] = {
+    name: (spec.arity, _compile_packer(spec)) for name, spec in COMMANDS.items()
+}
 
 
 def deserialize_command(data: bytes, offset: int = 0) -> Tuple[GLCommand, int]:

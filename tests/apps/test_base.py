@@ -1,5 +1,7 @@
 """Application specs, scene dynamics and command-batch generation."""
 
+import hashlib
+
 import pytest
 
 from repro.apps.base import ApplicationSpec, CommandBatchBuilder, SceneState
@@ -141,6 +143,20 @@ class TestCommandBatchBuilder:
         builder = self.make()
         payload = builder._vertex_payload(256, seed=5)
         assert compression_ratio(payload) < 0.35
+
+    def test_vertex_payload_bytes_pinned(self):
+        """sha256 over vertices x seeds, recorded from the per-word loop
+        that built the payload before it became a slice of one period."""
+        builder = self.make()
+        digest = hashlib.sha256()
+        for vertices in (0, 1, 3, 16, 48, 79, 80, 1024):
+            for seed in range(0, 3000, 7):
+                payload = builder._vertex_payload(vertices, seed)
+                assert len(payload) == 20 * vertices
+                digest.update(payload)
+        assert digest.hexdigest() == (
+            "c2a927249277d77ef8433d97082c759b3af99cf39dc13da344c10b6dc3eed24e"
+        )
 
     def test_texture_payload_is_compressible(self):
         from repro.codec.lz77 import compression_ratio

@@ -1,5 +1,9 @@
 """LRU command cache and sender/receiver lockstep."""
 
+import hashlib
+import random
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +12,9 @@ from repro.codec.command_cache import (
     LRUCommandCache,
     REFERENCE_BYTES,
 )
+from repro.codec.pipeline import CommandPipeline, PipelineConfig
 from repro.gles.commands import make_command
+from repro.gles.serialization import serialize_command
 
 
 class TestLRUCache:
@@ -206,3 +212,82 @@ class TestStatsAndFootprint:
         cache.insert(("b",), b"bb")
         cache.insert(("c",), b"cccc")      # evicts a
         assert cache.byte_size() == len(b"bb") + len(b"cccc")
+
+
+def expected_reference(key):
+    return b"\xCA\xFE" + hashlib.blake2b(
+        repr(key).encode(), digest_size=8
+    ).digest()
+
+
+class TestHeldReferences:
+    """``CachePair.references``: computed on first hit, dropped on evict."""
+
+    def test_insert_returns_the_evicted_key(self):
+        cache = LRUCommandCache(capacity=2)
+        assert cache.insert(("a",), b"1") is None
+        assert cache.insert(("b",), b"2") is None
+        assert cache.insert(("a",), b"1*") is None     # refresh, no evict
+        assert cache.insert(("c",), b"3") == ("b",)
+
+    def test_hits_read_the_entry_reference_across_evictions(self):
+        pair = CachePair(capacity=4)
+        rng = random.Random(7)
+        hits = 0
+        for _ in range(600):
+            cmd = make_command(
+                "glUniform2f", rng.randrange(7), rng.choice((0.5, 1.0)), 2.0
+            )
+            _, hit = pair.encode(cmd, b"w" * 24)
+            if hit:
+                hits += 1
+                assert len(pair.references[cmd.key()]) == REFERENCE_BYTES
+                assert pair.references[cmd.key()] == expected_reference(
+                    cmd.key()
+                )
+            assert len(pair.references) <= len(pair.sender) <= 4
+            assert set(pair.references) <= set(pair.sender.keys_in_order())
+        assert hits > 50 and pair.sender.stats.evictions > 50
+
+    def test_misses_compute_no_reference(self):
+        pair = CachePair(capacity=4)
+        for slot in range(3):
+            pair.encode(make_command("glUseProgram", slot), b"w")
+        assert pair.references == {}
+        pair.encode(make_command("glUseProgram", 1), b"w")
+        assert list(pair.references) == [("glUseProgram", (1,))]
+
+    def test_equal_key_hits_share_the_first_hit_reference(self):
+        pair = CachePair(capacity=4)
+        pair.encode(make_command("glUniform1f", 0, 0.0), b"w")
+        first_hit = make_command("glUniform1f", 0, 0.0)
+        pair.encode(first_hit, b"w")
+        again = make_command("glUniform1f", 0, -0.0)
+        assert pair.encode(again, b"w") == (REFERENCE_BYTES, True)
+        assert pair.references[again.key()] == expected_reference(
+            first_hit.key()
+        )
+
+    def test_pipeline_batch_matches_an_lru_model(self):
+        """Payload = full wire on a miss, the key's reference on a hit."""
+        pipeline = CommandPipeline(
+            PipelineConfig(cache_capacity=4, compression_enabled=False)
+        )
+        model = OrderedDict()
+        for frame in range(30):
+            batch = [
+                make_command("glBindTexture", 0x0DE1, (frame * 3 + i) % 9)
+                for i in range(6)
+            ]
+            expected = bytearray()
+            for cmd in batch:
+                key = ("glBindTexture", tuple(cmd.args))
+                if key in model:
+                    model.move_to_end(key)
+                    expected += expected_reference(key)
+                else:
+                    model[key] = True
+                    if len(model) > 4:
+                        model.popitem(last=False)
+                    expected += serialize_command(cmd)
+            assert pipeline.process_frame(batch).payload == bytes(expected)

@@ -29,3 +29,13 @@ def test_adaptive_command(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("duration", ["0", "-5", "nan", "inf", "soon"])
+def test_non_positive_duration_rejected(duration, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--duration", duration, "quickstart"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --duration" in err
+    assert repr(duration) in err
