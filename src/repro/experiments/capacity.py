@@ -21,16 +21,16 @@ attainment is reported but never gates.
 Every point runs its own kernel, so the grid fans across processes via
 :func:`~repro.sim.shard.run_parallel_jobs`; results return in job order
 and arrival schedules are per-session-seeded, making the artifact
-byte-identical for any ``--workers`` count.  The CI capacity-smoke job
-asserts exactly that, then diffs ``BENCH_CAPACITY.json`` against the
-committed baseline.
+byte-identical for any ``--workers`` count.  ``python -m repro capacity
+--smoke`` asserts exactly that, then requires the deterministic section
+to equal the committed baseline (``benchmarks/baselines/``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.apps.games import GAMES
 from repro.experiments.fleet import make_fleet_pool
@@ -51,9 +51,6 @@ from repro.sim.kernel import Simulator
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_CAPACITY_SCHEMA = "repro.bench_capacity/1"
 
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_CAPACITY.json"
-
 #: a frame is good when it responds within this budget (the headline SLO)
 DEFAULT_FRAME_BUDGET_MS = 250.0
 
@@ -66,10 +63,6 @@ ATTAINMENT_TARGET = 0.99
 #: land in quiet parts of the schedule and can dilute an unlucky
 #: cluster.  The *envelope* (running minimum) is gated exactly.
 MONOTONE_EPS = 0.02
-
-#: per-point attainment may drop this much below baseline before the
-#: regression gate fails the build
-ATTAINMENT_TOLERANCE = 0.05
 
 #: apps per genre, as indices into the ``GAMES`` Table II cycle
 GENRE_TITLES: Dict[str, Tuple[int, ...]] = {
@@ -380,18 +373,10 @@ def run_capacity_bench(
 # -- validation --------------------------------------------------------------
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + semantic gate for BENCH_CAPACITY.json; empty == valid."""
+def check_bench(bench: Dict[str, Any]) -> List[str]:
+    """Semantic gate for BENCH_CAPACITY.json; empty == valid."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_CAPACITY_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_CAPACITY_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+    det = bench["deterministic"]
     points = det.get("points")
     if not isinstance(points, list) or not points:
         return problems + ["missing or empty 'points'"]
@@ -458,80 +443,7 @@ def validate_bench(bench: Any) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable and the gate should be
-    skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
-    regressions: List[str] = []
-
-    def keyed(det: Dict[str, Any]) -> Dict[Tuple, Dict[str, Any]]:
-        return {
-            (p["devices"], p["curve"], p["mix"], p["sessions"]): p
-            for p in det.get("points", [])
-        }
-
-    cur_points, base_points = keyed(cur), keyed(base)
-    for key in sorted(base_points):
-        if key not in cur_points:
-            continue
-        cur_att = cur_points[key]["service_attainment"]
-        base_att = base_points[key]["service_attainment"]
-        if cur_att < base_att - ATTAINMENT_TOLERANCE:
-            regressions.append(
-                f"devices={key[0]} curve={key[1]} mix={key[2]} "
-                f"sessions={key[3]}: attainment fell "
-                f"{base_att:.4f} -> {cur_att:.4f}"
-            )
-    cur_frontier = {
-        (f["devices"], f["curve"], f["mix"]): f
-        for f in cur.get("frontier", [])
-    }
-    for f in base.get("frontier", []):
-        key = (f["devices"], f["curve"], f["mix"])
-        match = cur_frontier.get(key)
-        if match is None:
-            continue
-        if match["sustained"] < f["sustained"]:
-            regressions.append(
-                f"frontier devices={key[0]} curve={key[1]} mix={key[2]}: "
-                f"sustained load fell {f['sustained']} -> "
-                f"{match['sustained']}"
-            )
-    return regressions, None
-
-
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:

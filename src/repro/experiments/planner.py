@@ -23,11 +23,10 @@ and any ``--workers`` count:
    to a backend that is healthy *under the degraded context*, and the
    post-replan residual must return to band.
 
-The harness doubles as the CI perf-regression gate (``planner-smoke``):
-``diff_against_baseline`` compares the planner's per-cell scores and the
-fused byte reduction against the committed baseline
-(``benchmarks/baselines/BENCH_PLANNER.json``) and fails the build on a
->10% regression.
+The harness doubles as a CI gate: ``python -m repro planner``
+(:mod:`repro.experiments.bench`) fails unless the artifact's
+deterministic section equals the committed baseline
+(``benchmarks/baselines/BENCH_PLANNER.json``) leaf for leaf.
 """
 
 from __future__ import annotations
@@ -54,12 +53,6 @@ from repro.sim.shard import run_parallel_jobs
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_PLANNER_SCHEMA = "repro.bench_planner/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_PLANNER.json"
-
-#: per-metric growth tolerated over the baseline before the gate fails
-REGRESSION_TOLERANCE = 0.10
 
 #: a policy "matches" a cell when its score is within this of the best
 ATTAINMENT_SLACK = 1.001
@@ -346,18 +339,10 @@ def run_planner_bench(
     return {"schema": BENCH_PLANNER_SCHEMA, "deterministic": bench}
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + acceptance gates for BENCH_PLANNER.json; empty == valid."""
+def check_bench(bench: Dict[str, Any]) -> List[str]:
+    """Acceptance gates for BENCH_PLANNER.json; empty == valid."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_PLANNER_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_PLANNER_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+    det = bench["deterministic"]
 
     matrix = det.get("matrix")
     if not isinstance(matrix, dict):
@@ -417,75 +402,7 @@ def validate_bench(bench: Any) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable and the gate should be
-    skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
-    regressions: List[str] = []
-    base_cells = {
-        c["name"]: c for c in base.get("matrix", {}).get("cells", [])
-    }
-    for cell in cur.get("matrix", {}).get("cells", []):
-        ref = base_cells.get(cell["name"])
-        if ref is None:
-            continue
-        cur_score = cell["policies"]["planner"]["score"]
-        ref_score = ref["policies"]["planner"]["score"]
-        if cur_score > ref_score * (1.0 + REGRESSION_TOLERANCE):
-            regressions.append(
-                f"matrix cell {cell['name']}: planner score regressed "
-                f"{ref_score} -> {cur_score} "
-                f"(>{REGRESSION_TOLERANCE:.0%} over baseline)"
-            )
-    base_fusion = {p["game"]: p for p in base.get("fusion", [])}
-    for point in cur.get("fusion", []):
-        ref = base_fusion.get(point["game"])
-        if ref is None:
-            continue
-        if point["fused_bytes_per_frame"] > (
-            ref["fused_bytes_per_frame"] * (1.0 + REGRESSION_TOLERANCE)
-        ):
-            regressions.append(
-                f"fusion {point['game']}: fused bytes/frame regressed "
-                f"{ref['fused_bytes_per_frame']} -> "
-                f"{point['fused_bytes_per_frame']} "
-                f"(>{REGRESSION_TOLERANCE:.0%} over baseline)"
-            )
-    return regressions, None
-
-
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:

@@ -20,9 +20,10 @@ artifact is byte-identical across same-seed runs and worker counts:
    sorted ``(shard, session)`` order, proving the fleet-level view is a
    pure function of shard contents.
 
-The harness doubles as the CI gate (``postmortem-smoke``):
-``diff_against_baseline`` compares the artifact digest — which covers
-the frozen bundle byte-for-byte — against the committed baseline
+The harness doubles as a CI gate: ``python -m repro postmortem``
+(:mod:`repro.experiments.bench`) fails unless the artifact's
+deterministic section — which covers the frozen bundle byte-for-byte —
+equals the committed baseline
 (``benchmarks/baselines/BENCH_POSTMORTEM.json``).
 """
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
@@ -44,9 +45,6 @@ from repro.obs.merge import causal_bank, merge_causal_banks, merge_exemplars
 
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_POSTMORTEM_SCHEMA = "repro.bench_postmortem/1"
-
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_POSTMORTEM.json"
 
 #: the triggering frame's causal trace must span at least this many
 #: distinct components (client, net, server + a decision layer)
@@ -295,18 +293,10 @@ def run_postmortem_bench(
     }
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + acceptance gate for BENCH_POSTMORTEM.json; [] == valid."""
+def check_bench(bench: Dict[str, Any]) -> List[str]:
+    """Acceptance gate for BENCH_POSTMORTEM.json; [] == valid."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_POSTMORTEM_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_POSTMORTEM_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+    det = bench["deterministic"]
 
     incident = det.get("incident")
     if not isinstance(incident, dict):
@@ -378,64 +368,16 @@ def validate_bench(bench: Any) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    The deterministic digest covers the frozen bundle byte-for-byte, so
-    digest equality is the whole gate; on mismatch the diff names which
-    section moved so the failure is debuggable.  Returns
-    ``(regressions, skip_reason)``; a non-``None`` skip reason means the
-    artifacts are not comparable and the gate should be skipped.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
-    if cur.get("digest") == base.get("digest"):
-        return [], None
-    regressions = ["artifact digest drifted from the committed baseline"]
-    for section in ("incident", "control", "shards"):
-        if json.dumps(cur.get(section), sort_keys=True) != json.dumps(
-            base.get(section), sort_keys=True
-        ):
-            regressions.append(f"section {section!r} differs from baseline")
-    cur_bundle = (cur.get("incident") or {}).get("bundle") or {}
-    base_bundle = (base.get("incident") or {}).get("bundle") or {}
-    if cur_bundle.get("digest") != base_bundle.get("digest"):
-        regressions.append(
-            "flight bundle digest drifted: "
-            f"{base_bundle.get('digest', '')[:16]} -> "
-            f"{cur_bundle.get('digest', '')[:16]}"
-        )
-    return regressions, None
-
-
 # -- output ------------------------------------------------------------------
 
 
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    """Write the digest-gated artifact (without the chrome trace)."""
-    slim = {k: bench[k] for k in bench if k != "chrome"}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(slim, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def without_chrome(bench: Dict[str, Any]) -> Dict[str, Any]:
+    """The digest-gated artifact: everything but the chrome trace."""
+    return {k: bench[k] for k in bench if k != "chrome"}
 
 
-def write_chrome(path: str, bench: Dict[str, Any]) -> None:
-    """Write the merged Chrome trace, validating the schema first."""
+def chrome_trace(bench: Dict[str, Any]) -> Dict[str, Any]:
+    """The merged Chrome trace, schema-validated."""
     chrome = bench.get("chrome")
     if chrome is None:
         raise ValueError("bench carries no chrome trace")
@@ -444,26 +386,17 @@ def write_chrome(path: str, bench: Dict[str, Any]) -> None:
         raise ValueError(
             "chrome trace schema drift: " + "; ".join(issues[:5])
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    return chrome
 
 
-def write_bundle(path: str, bench: Dict[str, Any]) -> None:
-    """Write the incident's frozen flight bundle as its own artifact."""
+def flight_bundle(bench: Dict[str, Any]) -> Dict[str, Any]:
+    """The incident's frozen flight bundle, written as its own artifact."""
     bundle = (
         bench.get("deterministic", {}).get("incident", {}).get("bundle")
     )
     if bundle is None:
         raise ValueError("bench carries no flight bundle")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return bundle
 
 
 def format_bench(bench: Dict[str, Any]) -> str:

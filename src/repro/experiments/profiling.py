@@ -13,9 +13,10 @@ per-stage latency breakdown, writing two artifacts at the repo root:
 * ``BENCH_TRACE.json`` — a Chrome trace-event export of the fleet smoke
   run, loadable in Perfetto / ``chrome://tracing``.
 
-The harness doubles as the CI schema gate: ``validate_bench`` returns
-problems on any drift in the artifact's shape, and the CLI exits non-zero
-when validation fails or the fleet trace loses span categories.
+The harness doubles as the CI schema gate: ``check_bench`` returns
+problems on any drift in the artifact's shape, and the CLI
+(:mod:`repro.experiments.bench`) exits non-zero when validation fails or
+the fleet trace loses span categories.
 """
 
 from __future__ import annotations
@@ -250,18 +251,14 @@ def run_profile(
     }
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema gate for BENCH_PIPELINE.json; empty list == valid."""
+def check_bench(bench: Dict[str, Any]) -> List[str]:
+    """Shape checks for BENCH_PIPELINE.json; empty list == valid.
+
+    The envelope (schema, ``deterministic`` section, digest) is checked
+    by :func:`repro.experiments.bench.validate`, which calls this.
+    """
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+    det = bench["deterministic"]
     stages = det.get("session", {}).get("pipeline_stages", {})
     for stage in REQUIRED_STAGES:
         summary = stages.get(stage)
@@ -290,12 +287,6 @@ def validate_bench(bench: Any) -> List[str]:
             if not isinstance(wall.get(bench_name), dict):
                 problems.append(f"missing wall_clock bench {bench_name!r}")
     return problems
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def format_bench(bench: Dict[str, Any]) -> str:

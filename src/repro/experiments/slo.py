@@ -8,18 +8,17 @@ per-frame critical-path attribution, all in simulated time so the
 artifact is byte-identical across same-seed runs (it carries a sha256
 digest over itself).
 
-The harness doubles as the CI perf-regression gate:
-``diff_against_baseline`` compares the artifact against the committed
-baseline (``benchmarks/baselines/BENCH_SLO.json``) and reports
-regressions — frame p99 latency beyond the tolerance, SLO attainment
-drops, newly breached objectives — which fail the build.
+The harness doubles as the CI regression gate: ``python -m repro slo``
+(:mod:`repro.experiments.bench`) fails unless the artifact's
+deterministic section equals the committed baseline
+(``benchmarks/baselines/BENCH_SLO.json``) leaf for leaf.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
@@ -34,9 +33,6 @@ from repro.sim.kernel import Simulator
 #: artifact schema identifier, bumped on incompatible changes
 BENCH_SLO_SCHEMA = "repro.bench_slo/1"
 
-#: the committed baseline the CI gate diffs against
-DEFAULT_BASELINE = "benchmarks/baselines/BENCH_SLO.json"
-
 #: objectives the artifact must always evaluate (acceptance-gated)
 REQUIRED_SESSION_SLOS = (
     "frame_p99_latency",
@@ -45,14 +41,6 @@ REQUIRED_SESSION_SLOS = (
     "retransmission_rate",
 )
 REQUIRED_FLEET_SLOS = ("admission_reject_rate", "admission_wait")
-
-#: frame p99 latency may grow this fraction over the baseline before the
-#: gate fails (plus an absolute 1 ms floor so micro-jitter never trips it)
-P99_TOLERANCE = 0.10
-P99_FLOOR_MS = 1.0
-
-#: per-SLO attainment may drop this much below the baseline
-ATTAINMENT_TOLERANCE = 0.05
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -169,18 +157,10 @@ def run_slo_bench(
     return {"schema": BENCH_SLO_SCHEMA, "deterministic": bench}
 
 
-def validate_bench(bench: Any) -> List[str]:
-    """Schema + semantic gate for BENCH_SLO.json; empty list == valid."""
+def check_bench(bench: Dict[str, Any]) -> List[str]:
+    """Semantic gate for BENCH_SLO.json; empty list == valid."""
     problems: List[str] = []
-    if not isinstance(bench, dict):
-        return [f"top level must be an object, got {type(bench).__name__}"]
-    if bench.get("schema") != BENCH_SLO_SCHEMA:
-        problems.append(f"'schema' must be {BENCH_SLO_SCHEMA!r}")
-    det = bench.get("deterministic")
-    if not isinstance(det, dict):
-        return problems + ["missing 'deterministic' section"]
-    if not isinstance(det.get("digest"), str):
-        problems.append("missing 'deterministic.digest'")
+    det = bench["deterministic"]
     for scenario, required in (
         ("session", REQUIRED_SESSION_SLOS),
         ("faulted_session", REQUIRED_SESSION_SLOS),
@@ -212,78 +192,7 @@ def validate_bench(bench: Any) -> List[str]:
     return problems
 
 
-# -- the regression gate -----------------------------------------------------
-
-
-def diff_against_baseline(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> Tuple[List[str], Optional[str]]:
-    """Compare an artifact against the committed baseline.
-
-    Returns ``(regressions, skip_reason)``; a non-``None`` skip reason
-    means the artifacts are not comparable (seed or scale mismatch) and
-    the gate should be skipped, not failed.
-    """
-    cur = current.get("deterministic", {})
-    base = baseline.get("deterministic", {})
-    if baseline.get("schema") != current.get("schema"):
-        return [], "baseline schema differs — regenerate the baseline"
-    if (cur.get("seed"), cur.get("smoke")) != (
-        base.get("seed"), base.get("smoke")
-    ):
-        return [], (
-            f"baseline is seed={base.get('seed')} smoke={base.get('smoke')}, "
-            f"run is seed={cur.get('seed')} smoke={cur.get('smoke')} — "
-            "not comparable"
-        )
-    regressions: List[str] = []
-    for scenario in ("session", "faulted_session"):
-        cur_p99 = cur.get(scenario, {}).get("frame_response", {}).get("p99")
-        base_p99 = base.get(scenario, {}).get("frame_response", {}).get("p99")
-        if cur_p99 is None or base_p99 is None:
-            continue
-        limit = base_p99 * (1.0 + P99_TOLERANCE) + P99_FLOOR_MS
-        if cur_p99 > limit:
-            regressions.append(
-                f"{scenario}: frame p99 {cur_p99:.2f} ms exceeds baseline "
-                f"{base_p99:.2f} ms by more than {P99_TOLERANCE:.0%}"
-            )
-    for scenario in ("session", "fleet"):
-        cur_slos = cur.get(scenario, {}).get("telemetry", {}).get("slos", {})
-        base_slos = base.get(scenario, {}).get("telemetry", {}).get("slos", {})
-        for name in sorted(cur_slos):
-            if name not in base_slos:
-                continue
-            cur_att = cur_slos[name].get("attainment", 1.0)
-            base_att = base_slos[name].get("attainment", 1.0)
-            if cur_att < base_att - ATTAINMENT_TOLERANCE:
-                regressions.append(
-                    f"{scenario}: SLO {name} attainment fell "
-                    f"{base_att:.4f} -> {cur_att:.4f}"
-                )
-            if (
-                cur_slos[name].get("state") == "breached"
-                and base_slos[name].get("state") != "breached"
-            ):
-                regressions.append(
-                    f"{scenario}: SLO {name} newly breached "
-                    f"(was {base_slos[name].get('state')})"
-                )
-    return regressions, None
-
-
 # -- output ------------------------------------------------------------------
-
-
-def write_bench(path: str, bench: Dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def format_bench(bench: Dict[str, Any]) -> str:

@@ -39,3 +39,23 @@ def test_non_positive_duration_rejected(duration, capsys):
     err = capsys.readouterr().err
     assert "argument --duration" in err
     assert repr(duration) in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["slo", "--smoke", "--workers", "0"], "--workers"),
+    (["slo", "--smoke", "--workers", "-3"], "--workers"),
+    (["capacity", "--smoke", "--workers", "0"], "--workers"),
+    (["planner", "--smoke", "--workers", "two"], "--workers"),
+    (["postmortem", "--smoke", "--workers", "0"], "--workers"),
+    (["fleet", "--smoke", "--workers", "0"], "--workers"),
+    (["fleet", "--workers", "1", "--shards", "0"], "--shards"),
+    (["fleet", "--workers", "1", "--window", "0"], "--window"),
+    (["fleet", "--devices", "0"], "--devices"),
+    (["fleet", "--sessions", "16", "0"], "--sessions"),
+    (["fuzz", "--smoke", "--rounds", "0"], "--rounds"),
+])
+def test_bad_count_rejected_before_running(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

@@ -10,14 +10,13 @@ from repro.experiments.capacity import (
     GENRE_MIXES,
     GENRE_TITLES,
     compute_frontier,
-    diff_against_baseline,
     format_bench,
     mix_app_indices,
     run_capacity_bench,
     run_capacity_point,
     standard_curves,
-    validate_bench,
 )
+from repro.experiments.bench import SPECS, diff_against_baseline, validate
 from repro.experiments.fleet_shard import (
     plan_fleet_shards,
     run_sharded_fleet_point,
@@ -28,6 +27,10 @@ from repro.sim.shard import ShardError
 #: provisioned config — no back-pressure, so frame digests are
 #: shard-count invariant (see tests/fleet/test_shard_properties.py)
 PROVISIONED = FleetConfig(serve_rate_hz=10.0, pipeline_depth=8)
+
+
+def validate_bench(bench):
+    return validate(SPECS["capacity"], bench)
 
 
 class TestGenreMixes:
@@ -220,8 +223,15 @@ class TestValidationGate:
             p["service_attainment"] = 0.0
         regressions, skip = diff_against_baseline(worse, bench)
         assert skip is None
-        assert any("sustained load fell" in r for r in regressions)
-        assert any("attainment fell" in r for r in regressions)
+        assert any(
+            r.startswith("frontier[") and ".sustained:" in r
+            and r.endswith("→ 0")
+            for r in regressions
+        )
+        assert any(
+            r.startswith("points[") and ".service_attainment:" in r
+            for r in regressions
+        )
 
 
 class TestShardedArrivals:

@@ -4,17 +4,20 @@ import json
 
 import pytest
 
+from repro.experiments.bench import SPECS, diff_against_baseline, validate
 from repro.experiments.planner import (
     MATRIX_CELLS,
     STATIC_POLICIES,
-    diff_against_baseline,
     format_bench,
     run_drift_drill,
     run_fusion_point,
     run_matrix_cell,
     run_planner_bench,
-    validate_bench,
 )
+
+
+def validate_bench(bench):
+    return validate(SPECS["planner"], bench)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +115,10 @@ class TestHarness:
         cell["policies"]["planner"]["score"] *= 1.5
         regressions, skip = diff_against_baseline(worse, bench)
         assert skip is None
-        assert any(cell["name"] in r for r in regressions)
+        assert any(
+            r.startswith("matrix.cells[0].policies.planner.score:")
+            for r in regressions
+        )
 
     def test_baseline_diff_skips_incomparable_runs(self, bench):
         other = json.loads(json.dumps(bench))

@@ -5,20 +5,21 @@ import json
 
 import pytest
 
+from repro.experiments.bench import (
+    SPECS,
+    diff_against_baseline,
+    validate,
+    write_json,
+)
 from repro.experiments.postmortem import (
     BENCH_POSTMORTEM_SCHEMA,
     DECISION_COMPONENTS,
     MIN_TRACE_COMPONENTS,
-    diff_against_baseline,
     format_bench,
     run_postmortem_bench,
     run_postmortem_control,
     run_postmortem_incident,
     run_postmortem_shards,
-    validate_bench,
-    write_bench,
-    write_bundle,
-    write_chrome,
 )
 from repro.obs.export import validate_chrome_trace
 from repro.obs.flight import validate_bundle
@@ -27,6 +28,10 @@ from repro.obs.flight import validate_bundle
 # 40-75% of the run, and the trace must catch a frame that completed a
 # whole round trip through the replay fast path before the page fires.
 DURATION_MS = 6_000.0
+
+
+def validate_bench(bench):
+    return validate(SPECS["postmortem"], bench)
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +119,14 @@ class TestBenchArtifact:
         )
 
     def test_write_artifacts(self, bench, tmp_path):
-        bench_path = tmp_path / "bench.json"
-        bundle_path = tmp_path / "bundle.json"
-        trace_path = tmp_path / "trace.json"
-        write_bench(str(bench_path), bench)
-        write_bundle(str(bundle_path), bench)
-        write_chrome(str(trace_path), bench)
+        bench_path, bundle_path, trace_path = (
+            tmp_path / name for name in ("bench.json", "bundle.json",
+                                         "trace.json")
+        )
+        for output, path in zip(
+            SPECS["postmortem"].outputs, (bench_path, bundle_path, trace_path)
+        ):
+            write_json(str(path), output.part(bench))
         written = json.loads(bench_path.read_text())
         assert "chrome" not in written     # digest-gated file stays slim
         assert validate_bench(written) == []
@@ -174,11 +181,12 @@ class TestRegressionGate:
         assert regressions == []
         assert skip is not None and "seed" in skip
 
-    def test_schema_mismatch_skips(self, bench):
+    def test_schema_mismatch_fails(self, bench):
         other = copy.deepcopy(bench)
         other["schema"] = "repro.bench_postmortem/0"
-        _, skip = diff_against_baseline(bench, other)
-        assert skip is not None and "schema" in skip
+        regressions, skip = diff_against_baseline(bench, other)
+        assert skip is None
+        assert len(regressions) == 1 and regressions[0].startswith("schema:")
 
     def test_digest_drift_names_the_moved_section(self, bench):
         drifted = copy.deepcopy(bench)
@@ -186,13 +194,18 @@ class TestRegressionGate:
         drifted["deterministic"]["digest"] = "0" * 64
         regressions, skip = diff_against_baseline(drifted, bench)
         assert skip is None
-        assert any("digest drifted" in r for r in regressions)
-        assert any("'control'" in r for r in regressions)
-        assert not any("'shards'" in r for r in regressions)
+        assert [r.split(":")[0] for r in regressions] == [
+            "control.median_fps", "digest",
+        ]
 
     def test_bundle_drift_called_out_explicitly(self, bench):
         drifted = copy.deepcopy(bench)
         drifted["deterministic"]["incident"]["bundle"]["digest"] = "f" * 64
         drifted["deterministic"]["digest"] = "0" * 64
         regressions, _ = diff_against_baseline(drifted, bench)
-        assert any("flight bundle digest drifted" in r for r in regressions)
+        assert any(
+            r.startswith("incident.bundle.digest:") and r.endswith(
+                '→ "' + "f" * 64 + '"'
+            )
+            for r in regressions
+        )

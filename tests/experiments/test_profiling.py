@@ -4,20 +4,23 @@ import json
 
 import pytest
 
+from repro.experiments.bench import SPECS, validate, write_json
 from repro.experiments.profiling import (
     BENCH_SCHEMA,
     MIN_TRACE_CATEGORIES,
     REQUIRED_STAGES,
     bench_session,
     run_profile,
-    validate_bench,
-    write_bench,
 )
 from repro.obs.export import validate_chrome_trace
 
 # Runs the wall-clock micro-benches; numbers are machine-dependent even
 # though the assertions only gate schema and determinism.
 pytestmark = pytest.mark.bench
+
+
+def validate_bench(bench):
+    return validate(SPECS["profile"], bench)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +78,7 @@ class TestArtifactSchema:
     def test_write_round_trips(self, smoke_bench, tmp_path):
         bench, _ = smoke_bench
         out = tmp_path / "bench.json"
-        write_bench(str(out), bench)
+        write_json(str(out), bench)
         assert json.loads(out.read_text()) == bench
 
 

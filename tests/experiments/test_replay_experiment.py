@@ -5,13 +5,16 @@ import json
 
 import pytest
 
+from repro.experiments.bench import SPECS, diff_against_baseline, validate
 from repro.experiments.replay import (
     BENCH_REPLAY_SCHEMA,
     MIN_SPEEDUP,
-    diff_against_baseline,
     run_replay_pair,
-    validate_bench,
 )
+
+
+def validate_bench(bench):
+    return validate(SPECS["replay"], bench)
 
 
 @pytest.fixture(scope="module")
@@ -157,14 +160,18 @@ class TestBaselineDiff:
         regressions, skip = diff_against_baseline(bench, copy.deepcopy(bench))
         assert regressions == [] and skip is None
 
-    def test_within_tolerance_passes(self):
+    def test_within_old_tolerance_fails(self):
+        """A 5% uplink rise passed the old 10% tolerance; exact match fails."""
         current = make_bench()
         baseline = make_bench()
         current["deterministic"]["pair"]["warm"][
             "uplink_bytes_per_frame"
         ] = 500.0 * 1.05
         regressions, skip = diff_against_baseline(current, baseline)
-        assert regressions == [] and skip is None
+        assert skip is None
+        assert regressions == [
+            "pair.warm.uplink_bytes_per_frame: 500.0 → 525.0"
+        ]
 
     def test_regression_beyond_tolerance_fails(self):
         current = make_bench()
@@ -174,13 +181,19 @@ class TestBaselineDiff:
         ] = 500.0 * 1.25
         regressions, skip = diff_against_baseline(current, baseline)
         assert skip is None
-        assert any("uplink_bytes_per_frame" in r for r in regressions)
+        assert any(
+            r.startswith("pair.warm.uplink_bytes_per_frame:")
+            for r in regressions
+        )
 
-    def test_schema_mismatch_skips(self):
+    def test_schema_mismatch_fails(self):
         baseline = make_bench()
         baseline["schema"] = "repro.bench_replay/0"
         regressions, skip = diff_against_baseline(make_bench(), baseline)
-        assert regressions == [] and skip is not None
+        assert skip is None
+        assert regressions == [
+            f'schema: "repro.bench_replay/0" → "{BENCH_REPLAY_SCHEMA}"'
+        ]
 
     def test_seed_mismatch_skips(self):
         regressions, skip = diff_against_baseline(

@@ -1,6 +1,7 @@
 """The SLO harness: scenarios, determinism, and the regression gate."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -9,20 +10,27 @@ from repro.apps.games import GAMES
 from repro.core.config import GBoosterConfig
 from repro.core.session import run_offload_session
 from repro.devices.profiles import LG_NEXUS_5, NVIDIA_SHIELD
+from repro.experiments.bench import (
+    SPECS,
+    diff_against_baseline,
+    validate,
+    write_json,
+)
 from repro.experiments.slo import (
     BENCH_SLO_SCHEMA,
-    diff_against_baseline,
     format_bench,
     run_slo_bench,
     run_slo_faulted,
     run_slo_fleet,
     run_slo_session,
-    validate_bench,
-    write_bench,
 )
 from repro.faults.schedule import FaultSchedule
 
 DURATION_MS = 6_000.0
+
+
+def validate_bench(bench):
+    return validate(SPECS["slo"], bench)
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +151,8 @@ class TestBenchArtifact:
 
     def test_write_is_byte_stable(self, bench, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_bench(str(a), bench)
-        write_bench(str(b), run_slo_bench(seed=5, smoke=True))
+        write_json(str(a), bench)
+        write_json(str(b), run_slo_bench(seed=5, smoke=True))
         assert a.read_bytes() == b.read_bytes()
 
     def test_format_lists_every_slo(self, bench):
@@ -166,6 +174,8 @@ class TestBenchArtifact:
 
 
 class TestRegressionGate:
+    """The exact baseline gate: every differing leaf fails, by path."""
+
     @pytest.fixture(scope="class")
     def bench(self):
         return run_slo_bench(seed=5, smoke=True)
@@ -187,14 +197,19 @@ class TestRegressionGate:
         fr["p99"] = fr["p99"] * 1.25 + 5.0
         regressions, skip = diff_against_baseline(worse, bench)
         assert skip is None
-        assert any("frame p99" in r for r in regressions)
+        assert any(
+            r.startswith("session.frame_response.p99:") for r in regressions
+        )
 
-    def test_p99_within_tolerance_passes(self, bench):
+    def test_p99_within_old_tolerance_fails(self, bench):
+        """A 5% p99 rise passed the old 10% tolerance; exact match fails."""
         slightly = copy.deepcopy(bench)
         fr = slightly["deterministic"]["session"]["frame_response"]
         fr["p99"] = fr["p99"] * 1.05
         regressions, _ = diff_against_baseline(slightly, bench)
-        assert regressions == []
+        assert [r.split(":")[0] for r in regressions] == [
+            "session.frame_response.p99"
+        ]
 
     def test_attainment_drop_detected(self, bench):
         worse = copy.deepcopy(bench)
@@ -203,7 +218,10 @@ class TestRegressionGate:
         ]
         slo["attainment"] = max(0.0, slo["attainment"] - 0.20)
         regressions, _ = diff_against_baseline(worse, bench)
-        assert any("fps_floor" in r for r in regressions)
+        assert any(
+            r.startswith("session.telemetry.slos.fps_floor.attainment:")
+            for r in regressions
+        )
 
     def test_new_breach_detected(self, bench):
         worse = copy.deepcopy(bench)
@@ -211,4 +229,23 @@ class TestRegressionGate:
             "switch_flap_rate"
         ]["state"] = "breached"
         regressions, _ = diff_against_baseline(worse, bench)
-        assert any("newly breached" in r for r in regressions)
+        assert any(
+            r.startswith("session.telemetry.slos.switch_flap_rate.state:")
+            and r.endswith('→ "breached"')
+            for r in regressions
+        )
+
+    def test_added_alert_field_fails_by_path(self, bench):
+        """A new alert leaf under a recomputed digest — the shape drift
+        that once slipped past the tolerance gate — now fails."""
+        grown = copy.deepcopy(bench)
+        det = grown["deterministic"]
+        det["faulted_session"]["telemetry"]["alerts"][0]["runbook"] = "r1"
+        det.pop("digest")
+        det["digest"] = hashlib.sha256(
+            json.dumps(det, sort_keys=True).encode()
+        ).hexdigest()
+        regressions, skip = diff_against_baseline(grown, bench)
+        assert skip is None
+        assert "faulted_session.telemetry.alerts[0].runbook: (missing) → " \
+            '"r1"' in regressions
