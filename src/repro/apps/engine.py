@@ -321,8 +321,7 @@ class GameEngine:
         root_span: Optional["OpenSpan"] = None,
         trace: Optional[Any] = None,
     ) -> None:
-        def _watch() -> Generator:
-            yield completion
+        def _present(_value: Any) -> None:
             record.presented_at = self.sim.now
             self.device.surface.attach_back(None)
             if root_span is not None:
@@ -340,7 +339,7 @@ class GameEngine:
                     genre=self.spec.genre,
                 )
 
-        self.sim.spawn(_watch(), name=f"present.{record.frame_id}")
+        self.sim.on_trigger(completion, _present)
 
     # -- session results -------------------------------------------------------------
 

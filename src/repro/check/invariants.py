@@ -10,8 +10,8 @@ conservation laws that must hold between any two process steps:
   in flight awaiting (re)transmission, or held for reordering;
 * **transport byte conservation** — bytes delivered never exceed bytes
   offered;
-* **timer hygiene** — no backing timer process outlives its event's
-  trigger or cancellation;
+* **timer hygiene** — no timer callback handle stays alive past its
+  event's trigger or cancellation;
 * **cache lockstep** — sender and receiver command caches agree on keys,
   order, capacity and hit counts, and hits never exceed lookups;
 * **fleet ownership** — every active session is homed on exactly one
@@ -357,8 +357,8 @@ class InvariantMonitor:
 
     def watch_timers(self) -> None:
         """Timer hygiene: hook the kernel so every ``timeout()`` registers
-        its :class:`TimerEvent` here, then assert no backing process ever
-        outlives its event's trigger."""
+        its :class:`TimerEvent` here, then assert no timer callback stays
+        alive past its event's trigger."""
         self.sim.monitor = self
 
         def hygiene() -> Optional[Tuple[str, Dict[str, Any]]]:
@@ -371,7 +371,7 @@ class InvariantMonitor:
                     sample = sample or evt.name
             if leaked:
                 return (
-                    "timer processes outlived their events' triggers",
+                    "timer callbacks outlived their events' triggers",
                     {"leaked": leaked, "sample": sample},
                 )
             return None

@@ -445,8 +445,7 @@ class GBoosterClient:
         when none remains — gameplay degrades, never freezes."""
         timeout = self.config.frame_timeout_ms
 
-        def _watchdog():
-            yield timeout
+        def _watchdog() -> None:
             # Arrival, not presentation: a frame can sit in the reorder
             # buffer behind a *different* node's failure — its own node is
             # healthy and must not be condemned for that.
@@ -464,9 +463,7 @@ class GBoosterClient:
                 # sweep this request up — rescue it directly.
                 self._redispatch(request)
 
-        self.sim.spawn(
-            _watchdog(), name=f"watchdog.{request.request_id}"
-        )
+        self.sim.call_later(timeout, _watchdog)
 
     def _redispatch(self, request: RenderRequest) -> None:
         """Move a stranded in-flight request off its failed node."""
@@ -477,7 +474,7 @@ class GBoosterClient:
         message: Optional[Message] = request.metadata.get("wire_message")
         if not healthy or message is None:
             request.metadata["node"] = None
-            self._local_failover(request)
+            self._local_failover(request, f"failover.{request.request_id}")
             return
         estimates = [
             DeviceEstimate(
@@ -504,33 +501,24 @@ class GBoosterClient:
         if completion is not None:
             self._watch_for_timeout(request, node, completion)
 
-    def _local_failover(self, request: RenderRequest) -> None:
-        """Render a stranded request on the device's own GPU."""
-        gpu_done = self.sim.event(name=f"failover.{request.request_id}")
+    def _local_failover(self, request: RenderRequest, event_name: str) -> None:
+        """Render a request on the device's own GPU, then present it."""
+        gpu_done = self.sim.event(name=event_name)
         request.metadata["completion_event"] = gpu_done
         self.device.gpu.submit(request)
-
-        def _finish():
-            yield gpu_done
-            self._complete_request(request)
-
-        self.sim.spawn(_finish(), name=f"failover.{request.request_id}")
+        self.sim.on_trigger(
+            gpu_done, lambda _value: self._complete_request(request)
+        )
 
     def _render_locally(self, request: RenderRequest) -> Event:
         """All-nodes-failed path: the request runs on the device's own GPU."""
         completion = self.sim.event(name=f"gbooster.local.{request.request_id}")
         self._completions[request.request_id] = completion
-        gpu_done = self.sim.event(name=f"gbooster.localgpu.{request.request_id}")
-        request.metadata["completion_event"] = gpu_done
-        self.device.gpu.submit(request)
+        self._local_failover(
+            request, f"gbooster.localgpu.{request.request_id}"
+        )
         self.stats.frames_submitted += 1
         self.stats.failovers += 1
-
-        def _finish():
-            yield gpu_done
-            self._complete_request(request)
-
-        self.sim.spawn(_finish(), name=f"localfallback.{request.request_id}")
         return completion
 
     # -- downlink ------------------------------------------------------------------------

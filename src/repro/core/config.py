@@ -7,6 +7,7 @@ or always-WiFi switching, blocking SwapBuffer, round-robin dispatch).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -167,8 +168,6 @@ class GBoosterConfig:
             raise ValueError(
                 f"unknown switching policy {self.switching_policy!r}"
             )
-        if self.planner_probe_frames <= 0:
-            raise ValueError("planner_probe_frames must be positive")
         if self.planner_cooldown_epochs < 0:
             raise ValueError("planner_cooldown_epochs must be non-negative")
         if self.scheduler not in ("eq4", "round_robin"):
@@ -177,10 +176,17 @@ class GBoosterConfig:
             raise ValueError(
                 f"unknown service queue policy {self.service_queue_policy!r}"
             )
-        if self.cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive")
-        if self.replay_store_bytes <= 0:
-            raise ValueError("replay_store_bytes must be positive")
+        # The *_ms delays are scheduled on the kernel: reject bad ones here.
+        for name in (
+            "rto_ms", "frame_timeout_ms", "traffic_epoch_ms",
+            "prediction_horizon_ms", "planner_probe_frames",
+            "cache_capacity", "replay_store_bytes",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         if self.replay_hit_ms < 0:
             raise ValueError("replay_hit_ms must be non-negative")
         if self.faults is not None:

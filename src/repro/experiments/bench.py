@@ -306,11 +306,19 @@ def run(spec: BenchSpec, args: Any) -> None:
         kwargs["workers"] = args.workers
     bench = spec.build(**kwargs)
     problems = validate(spec, bench)
+    written = []
     for output in spec.outputs:
+        path = getattr(args, output.dest)
         if output.part is not None:
-            write_json(getattr(args, output.dest), output.part(bench))
+            try:  # a part that cannot be built is one more listed problem
+                part = output.part(bench)
+            except ValueError as exc:
+                problems.append(f"{path} not written: {exc}")
+                continue
+            write_json(path, part)
+        written.append(path)
     print(spec.format(bench))
-    print("wrote " + ", ".join(getattr(args, o.dest) for o in spec.outputs))
+    print("wrote " + ", ".join(written))
     if problems:
         raise SystemExit(
             f"{spec.name}: acceptance gate failed:\n  " + "\n  ".join(problems)

@@ -329,17 +329,15 @@ class FleetController:
                 trace_id=trace.trace_id if trace is not None else None,
                 tier=request.tier,
             )
-        self.sim.spawn(
-            self._watch_session(session),
-            name=f"fleet.watch.{session.session_id}",
+        self.sim.on_trigger(
+            session.finished, lambda _value: self._session_finished(session)
         )
         self.sim.tracer.record(
             self.sim.now, "fleet", "session_started",
             session=session.session_id, node=node.name, tier=session.tier,
         )
 
-    def _watch_session(self, session: FleetSession) -> Generator:
-        yield session.finished
+    def _session_finished(self, session: FleetSession) -> None:
         self.active.pop(session.session_id, None)
         self.finished.append(session)
         if session.node is not None:

@@ -170,13 +170,9 @@ class DiscoveryService:
         for spec in self.responders:
             sim.spawn(responder_proc(spec), name=f"discovery.{spec.name}")
 
-        def finisher() -> Generator:
-            yield timeout_ms
-            finish()
-
         if not self.responders:
             # An empty LAN has nothing to wait for.
             finish()
         else:
-            sim.spawn(finisher(), name="discovery.deadline")
+            sim.call_later(timeout_ms, finish)
         return done

@@ -212,8 +212,7 @@ class WirelessInterface:
             self.sim.now, "radio", "waking", radio=self.name, delay_ms=delay
         )
 
-        def _wake() -> Generator:
-            yield delay
+        def _wake() -> None:
             if self.state == RadioState.WAKING:
                 self.state = RadioState.IDLE
                 self._set_power(self.spec.idle_power_w)
@@ -223,7 +222,7 @@ class WirelessInterface:
                     self.sim.now, "radio", "awake", radio=self.name
                 )
 
-        self.sim.spawn(_wake(), name=f"radio.{self.name}.wake")
+        self.sim.call_later(delay, _wake)
         return usable
 
     # -- data path ---------------------------------------------------------------

@@ -10,7 +10,7 @@ reliable transports recover from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.sim.kernel import Simulator
@@ -106,11 +106,10 @@ class NetworkLink:
         if self.spec.jitter_ms > 0:
             delay += abs(self.rng.normal(0.0, self.spec.jitter_ms))
 
-        def _arrive() -> Generator:
-            yield delay
+        def _arrive() -> None:
             self.delivered += 1
             self.delivery_log.append((self.sim.now, message.size_bytes))
             if self.receiver is not None:
                 self.receiver(message)
 
-        self.sim.spawn(_arrive(), name=f"link.{self.spec.name}.arrive")
+        self.sim.call_later(delay, _arrive)

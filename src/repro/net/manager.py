@@ -20,7 +20,7 @@ from repro.net.interface import (
     RadioSpec,
     WirelessInterface,
 )
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Callback, Simulator
 
 
 @dataclass
@@ -52,7 +52,7 @@ class NetworkManager:
         self.wifi = WirelessInterface(sim, wifi_spec, name=f"{name}.wifi")
         self.bluetooth = WirelessInterface(sim, bt_spec, name=f"{name}.bt")
         self.active_name = "wifi"
-        self._route_token = 0
+        self._pending_flip: Optional[Callback] = None
         self.switch_log: List[Tuple[float, str]] = []
         self.traffic_samples: List[TrafficSample] = []
         self._epoch_bytes = 0
@@ -89,23 +89,17 @@ class NetworkManager:
             raise ValueError(f"unknown interface {interface_name!r}")
         # Any new request supersedes a pending flip, including a request to
         # stay where we are (the policy changed its mind mid-wake).
-        self._route_token += 1
-        token = self._route_token
+        if self._pending_flip is not None:
+            self._pending_flip.cancel()
         if interface_name == self.active_name:
             return
         target = self.interfaces()[interface_name]
         if target.is_on:
             self._apply_route(interface_name)
             return
-        usable = target.power_on()
-
-        def _flip() -> Generator:
-            yield usable
-            # A newer use() call supersedes this pending flip.
-            if self._route_token == token:
-                self._apply_route(interface_name)
-
-        self.sim.spawn(_flip(), name=f"{self.name}.routeflip")
+        self._pending_flip = self.sim.on_trigger(
+            target.power_on(), lambda _value: self._apply_route(interface_name)
+        )
 
     def _apply_route(self, interface_name: str) -> None:
         self.active_name = interface_name

@@ -7,6 +7,7 @@ single run seed, so a simulation is fully reproducible.
 """
 
 from repro.sim.kernel import (
+    Callback,
     Event,
     Interrupt,
     Process,
@@ -19,6 +20,7 @@ from repro.sim.resources import Gauge, Resource, Store
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
+    "Callback",
     "Event",
     "Gauge",
     "Interrupt",

@@ -6,14 +6,27 @@ style of SimPy, kept intentionally small and fully deterministic:
 * :class:`Simulator` owns the event queue and the clock (milliseconds).
 * :class:`Process` wraps a generator; the generator yields *waitables*
   (events, delays, or other processes) and is resumed when they fire.
+* :class:`Callback` is one-shot deferred work: a cancellable callable run
+  after a delay (``call_later``/``call_at``) or when an event triggers
+  (``on_trigger``).  Timeouts and ``any_of``/``all_of`` are built on it.
 * Ties in the event queue are broken by insertion order, never by object
   identity, so two runs with the same seed replay identically.
+
+Ordering contract: a callback is armed like a spawned process's first
+step.  Creating one queues an entry at ``now``; its dispatch queues the
+real entry at ``now + delay`` (or joins the event's waiter list).  Pushed
+at once, the entry would take an earlier insertion number than same-time
+wake-ups queued in between, reordering ties against processes and moving
+every committed digest.  So callbacks and processes delayed alike fire in
+creation order, and an event's waiters of both kinds in registration order.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.random import RandomStream
@@ -22,6 +35,14 @@ from repro.sim.trace import Tracer
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double triggers, time travel, ...)."""
+
+
+def _check_delay(delay: float, site: str, owner: str = "") -> float:
+    """Reject a negative or NaN delay where it is made, not in the queue."""
+    if not delay >= 0:
+        who = f"{site} {owner!r}" if owner else site
+        raise SimulationError(f"{who}: negative or NaN delay {delay!r}")
+    return float(delay)
 
 
 class Interrupt(Exception):
@@ -49,7 +70,8 @@ class Event:
         self.name = name
         self.triggered = False
         self.value: Any = None
-        self._waiters: List["Process"] = []
+        #: processes and callbacks, in the order they started waiting
+        self._waiters: List[Any] = []
 
     def trigger(self, value: Any = None) -> "Event":
         """Fire the event, waking all waiters at the current time."""
@@ -78,71 +100,126 @@ class Event:
 
 
 class TimerEvent(Event):
-    """The event :meth:`Simulator.timeout` returns, backed by a timer process.
+    """The event :meth:`Simulator.timeout` returns, fired by its ``timer``.
 
-    Triggering it early (externally, before the delay expires) kills the
-    backing ``_timer`` process, so a satisfied timeout never keeps
-    :meth:`Simulator.run` alive for the rest of its delay — the same leak
-    class the transport's RTO timers had before they became cancellable.
-    ``cancel`` abandons a pending timer outright without triggering it,
-    which is how :meth:`Simulator.any_of` reaps losing timeouts.
+    Any trigger cancels the timer, so a satisfied timeout never keeps
+    :meth:`Simulator.run` alive for the rest of its delay; ``cancel``
+    abandons it without triggering (how ``any_of`` reaps losing timeouts).
     """
 
     def __init__(self, sim: "Simulator", name: str = ""):
         super().__init__(sim, name=name)
-        #: the process sleeping out the delay; killed on early trigger
-        self._timer: Optional["Process"] = None
-        self._firing = False
-
-    @property
-    def timer(self) -> Optional["Process"]:
-        """Handle on the backing timer process (for tests and reapers)."""
-        return self._timer
+        #: the callback that fires this event
+        self.timer: Optional["Callback"] = None
 
     def trigger(self, value: Any = None) -> "Event":
         super().trigger(value)
-        if not self._firing and self._timer is not None:
-            # Externally triggered: the timer is still sleeping out the
-            # delay — reap it so the queue can drain now.
-            self._timer.kill()
+        if self.timer is not None:
+            self.timer.cancel()  # no-op when the timer itself fired
         return self
 
     def cancel(self) -> None:
         """Abandon the pending timer without ever triggering the event."""
-        if not self.triggered and self._timer is not None:
-            self._timer.kill()
+        if not self.triggered and self.timer is not None:
+            self.timer.cancel()
 
 
 class CompositeEvent(Event):
     """An event combined from other events (``any_of`` / ``all_of``).
 
-    Besides behaving like a plain :class:`Event`, it keeps handles on its
-    watcher processes and source events so it can be *abandoned*:
-    :meth:`abandon` kills watchers still parked on sources that may never
-    fire (they would otherwise sit in waiter lists forever, pinning the
-    partially-filled values of an ``all_of``) and reaps orphaned pending
-    timeouts, mirroring the reaping ``any_of`` performs when a winner
-    fires.  :meth:`Simulator.teardown` abandons every still-pending
-    composite, so a discarded simulator never leaks watcher processes.
+    Each source gets an event callback running ``on_source(index, value)``.
+    :meth:`abandon` cancels them (on a source that never fires they would
+    pin an ``all_of``'s partial values forever) and reaps orphaned pending
+    timeouts, as ``any_of`` does to its losers; :meth:`Simulator.teardown`
+    abandons every composite still pending.
     """
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str = ""):
+    def __init__(
+        self,
+        sim: "Simulator",
+        events: Iterable[Event],
+        name: str,
+        on_source: Callable[[int, Any], None],
+    ):
         super().__init__(sim, name=name)
-        self._sources: List[Event] = list(events)
-        self._watchers: List["Process"] = []
+        self._sources = list(events)
+        self._callbacks = [
+            Callback(sim, functools.partial(on_source, idx), event=evt)
+            for idx, evt in enumerate(self._sources)
+        ]
+        sim._composites[self] = None
+
+    def trigger(self, value: Any = None) -> "Event":
+        super().trigger(value)
+        self.sim._composites.pop(self, None)
+        return self
 
     def abandon(self) -> None:
-        """Reap the watcher processes; the composite will never be waited on."""
-        for watcher in self._watchers:
-            if watcher.alive:
-                watcher.kill()
-        for evt in self._sources:
+        """Detach the callbacks; the composite will never be waited on."""
+        self._reap()
+        self.sim._composites.pop(self, None)
+
+    def _reap(self, keep: int = -1) -> None:
+        # Cancel every callback but the winner's first, so a timeout that
+        # only this composite waited on has an empty waiter list below.
+        for j, callback in enumerate(self._callbacks):
+            if j != keep:
+                callback.cancel()
+        for j, evt in enumerate(self._sources):
             if (
-                isinstance(evt, TimerEvent)
-                and not evt.triggered
+                j != keep
+                and isinstance(evt, TimerEvent)
                 and not evt._waiters
             ):
                 evt.cancel()
+
+
+class Callback:
+    """A cancellable deferred call: ``fn()`` after a delay, or
+    ``fn(value)`` when an event triggers.  The run loop drives it like a
+    :class:`Process`; its first step only arms it (see the module
+    docstring), and it never re-arms, so ``alive`` alone marks it dead.
+    """
+
+    __slots__ = ("sim", "fn", "alive", "_delay", "_event", "_armed")
+
+    _gen = 0
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        fn: Callable[..., None],
+        delay: float = 0.0,
+        event: Optional[Event] = None,
+    ):
+        self.sim = sim
+        self.fn = fn
+        self.alive = True
+        self._delay = delay
+        self._event = event
+        self._armed = False
+        sim._schedule_resume(self, None)
+
+    def cancel(self) -> None:
+        """Never run ``fn``; idempotent, and a no-op once it has run."""
+        if self.alive:
+            self.alive = False
+            if self._event is not None:
+                self._event.remove_waiter(self)
+
+    def _step(self, value: Any) -> None:
+        if not self._armed:
+            self._armed = True
+            if self._event is None:
+                self.sim._schedule_resume(self, None, delay=self._delay)
+            else:
+                self._event.add_waiter(self)
+            return
+        self.alive = False
+        if self._event is None:
+            self.fn()
+        else:
+            self.fn(value)
 
 
 class Process:
@@ -186,9 +263,7 @@ class Process:
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.alive:
             return
-        if self._waiting_on is not None:
-            self._waiting_on.remove_waiter(self)
-            self._waiting_on = None
+        self._detach()
         # Invalidate whatever resumption is already queued (a plain delay
         # sleep keeps one there); only the interrupt resume below is live.
         self._gen += 1
@@ -201,21 +276,22 @@ class Process:
         Unlike :meth:`interrupt`, no resumption is scheduled: the process is
         detached from whatever it was waiting on, its generator is closed,
         and any stale entry it still has in the event queue is skipped by
-        the run loop *without advancing the clock*.  This is the primitive
-        behind cancellable timers — an ACKed retransmission timeout must not
-        keep ``Simulator.run()`` alive until its expiry.
+        the run loop *without advancing the clock*.
         """
         if not self.alive:
             return
-        if self._waiting_on is not None:
-            self._waiting_on.remove_waiter(self)
-            self._waiting_on = None
+        self._detach()
         self.alive = False
         self._gen += 1
         self._pending_interrupt = None
         self.gen.close()
         if not self.done.triggered:
             self.done.trigger(None)
+
+    def _detach(self) -> None:
+        if self._waiting_on is not None:
+            self._waiting_on.remove_waiter(self)
+            self._waiting_on = None
 
     def _step(self, value: Any) -> None:
         """Advance the generator by one yield."""
@@ -243,11 +319,8 @@ class Process:
         if target is None:
             sim._schedule_resume(self, None)
         elif isinstance(target, (int, float)):
-            if target < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {target}"
-                )
-            sim._schedule_resume(self, None, delay=float(target))
+            delay = _check_delay(target, "process", self.name)
+            sim._schedule_resume(self, None, delay=delay)
         elif isinstance(target, Event):
             self._waiting_on = target
             target.add_waiter(self)
@@ -306,12 +379,15 @@ class Simulator:
         #: optional repro.obs.flight.FlightRecorder; alert/violation/
         #: replan triggers freeze postmortem bundles here when armed
         self.flight: Optional[Any] = None
-        self._queue: List[Tuple[float, int, Process, int, Any]] = []
+        #: ``(when, order, owner, generation, value)``; owners duck-type
+        #: :class:`Process` (``alive``, ``_gen``, ``_step``)
+        self._queue: List[Tuple[float, int, Any, int, Any]] = []
         self._counter = itertools.count()
         self._message_seq = itertools.count(1)
         self._streams: dict = {}
         self._processes: List[Process] = []
-        self._composites: List[CompositeEvent] = []
+        #: composites not yet triggered or abandoned, in creation order
+        self._composites: dict[CompositeEvent, None] = {}
 
     def next_message_id(self) -> int:
         """The next sim-scoped network message id.
@@ -343,15 +419,7 @@ class Simulator:
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new process; it first runs at the current time."""
-        proc = Process(self, gen, name=name)
-        self._processes.append(proc)
-        # Long sessions spawn one short-lived process per message/timer;
-        # keep the registry from growing without bound.
-        if len(self._processes) > 8192:
-            self._processes = [p for p in self._processes if p.alive]
-            self._composites = [
-                c for c in self._composites if not c.triggered
-            ]
+        proc = self._register(Process(self, gen, name=name))
         self._schedule_resume(proc, None)
         return proc
 
@@ -363,42 +431,42 @@ class Simulator:
         round trip — so processes anchored to a shared epoch wake at
         bit-identical times regardless of the current clock value.
         """
-        if when < self.now:
-            raise SimulationError(
-                f"spawn_at({when}) is in the past (now={self.now})"
-            )
-        proc = Process(self, gen, name=name)
-        self._processes.append(proc)
-        if len(self._processes) > 8192:
-            self._processes = [p for p in self._processes if p.alive]
-            self._composites = [
-                c for c in self._composites if not c.triggered
-            ]
+        _check_delay(when - self.now, "spawn_at", name)
+        proc = self._register(Process(self, gen, name=name))
         self._schedule_resume(proc, None, at=when)
         return proc
+
+    def _register(self, proc: Process) -> Process:
+        self._processes.append(proc)
+        # Keep the registry of long sessions from growing without bound.
+        if len(self._processes) > 8192:
+            self._processes = [p for p in self._processes if p.alive]
+        return proc
+
+    def call_later(
+        self, delay: float, fn: Callable[[], None], name: str = ""
+    ) -> Callback:
+        """Run ``fn()`` in ``delay`` ms unless the handle is cancelled."""
+        return Callback(self, fn, _check_delay(delay, "call_later", name))
+
+    def call_at(
+        self, when: float, fn: Callable[[], None], name: str = ""
+    ) -> Callback:
+        """Run ``fn()`` at ``now + (when - now)`` (``spawn_at`` is exact)."""
+        return Callback(self, fn, _check_delay(when - self.now, "call_at", name))
+
+    def on_trigger(self, event: Event, fn: Callable[[Any], None]) -> Callback:
+        """Run ``fn(value)`` when ``event`` triggers (at once if it has)."""
+        return Callback(self, fn, event=event)
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> "TimerEvent":
-        """An event that fires ``delay`` ms from now.
-
-        The returned :class:`TimerEvent` is cancellable: triggering it
-        early (externally) or calling ``cancel()`` kills the backing timer
-        process immediately, so :meth:`run` is never held open by a timeout
-        that already served its purpose.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        """A cancellable :class:`TimerEvent` firing ``delay`` ms from now."""
+        delay = _check_delay(delay, "timeout", name)
         evt = TimerEvent(self, name=name or f"timeout@{self.now + delay:.3f}")
-
-        def _fire() -> Generator:
-            yield delay
-            if not evt.triggered:
-                evt._firing = True
-                evt.trigger(value)
-
-        evt._timer = self.spawn(_fire(), name=f"_timer.{evt.name}")
+        evt.timer = Callback(self, lambda: evt.trigger(value), delay=delay)
         if self.monitor is not None:
             self.monitor.note_timer(evt)
         return evt
@@ -406,104 +474,63 @@ class Simulator:
     def any_of(self, events: Iterable[Event], name: str = "any") -> Event:
         """An event that fires when the first of ``events`` fires.
 
-        The composite value is ``(index, value)`` of the winning event.
-        Once a winner fires, the losing watcher processes are killed so they
-        do not sit forever in the waiter lists of events that never trigger,
-        and losing *timeouts* nobody else is waiting on are reaped too — a
-        race against a 10-second timeout must not keep :meth:`run` alive
-        for 10 seconds after the data arrived.
+        The value is ``(index, value)`` of the winner.  The winner cancels
+        the losers' callbacks and any losing timeout nobody else awaits:
+        a race against a 10-second timeout must not keep :meth:`run`
+        alive for 10 seconds after the data arrived.
         """
-        events = list(events)
-        combined = CompositeEvent(self, events, name=name)
-        watchers = combined._watchers
 
-        def _watch(idx: int, evt: Event) -> Generator:
-            value = yield evt
+        def _won(idx: int, value: Any) -> None:
             if not combined.triggered:
                 combined.trigger((idx, value))
-                for loser in watchers:
-                    if loser is not watchers[idx]:
-                        loser.kill()
-                for j, other in enumerate(events):
-                    if (
-                        j != idx
-                        and isinstance(other, TimerEvent)
-                        and not other.triggered
-                        and not other._waiters
-                    ):
-                        other.cancel()
+                combined._reap(keep=idx)
 
-        for idx, evt in enumerate(events):
-            watchers.append(self.spawn(_watch(idx, evt), name=f"_anyof.{name}.{idx}"))
-        self._composites.append(combined)
+        combined = CompositeEvent(self, events, name, _won)
         return combined
 
     def all_of(self, events: Iterable[Event], name: str = "all") -> Event:
         """An event that fires when every one of ``events`` has fired.
 
-        The returned :class:`CompositeEvent` gets the same reaping
-        discipline ``any_of`` has: if one of the sources never triggers,
-        ``abandon()`` (or :meth:`teardown`) kills the watcher processes so
-        they do not sit in waiter lists forever pinning the partially
-        filled values list.
+        The value is the list of the sources' values.  ``abandon()`` (or
+        :meth:`teardown`) detaches the callbacks if a source never fires.
         """
         events = list(events)
-        combined = CompositeEvent(self, events, name=name)
         remaining = [len(events)]
         values: List[Any] = [None] * len(events)
-        if not events:
-            combined.trigger([])
-            return combined
 
-        def _watch(idx: int, evt: Event) -> Generator:
-            values[idx] = yield evt
+        def _fired(idx: int, value: Any) -> None:
+            values[idx] = value
             remaining[0] -= 1
             if remaining[0] == 0:
                 combined.trigger(list(values))
 
-        for idx, evt in enumerate(events):
-            combined._watchers.append(
-                self.spawn(_watch(idx, evt), name=f"_allof.{name}.{idx}")
-            )
-        self._composites.append(combined)
+        combined = CompositeEvent(self, events, name, _fired)
+        if not events:
+            combined.trigger([])
         return combined
 
     def teardown(self) -> None:
-        """Dispose of the simulation: reap watchers, close every process.
-
-        Abandons still-pending composite events (their watchers would
-        otherwise wait forever on sources that never fire), closes the
-        generators of all remaining live processes, and clears the event
-        queue.  After teardown the simulator holds no live coroutines, so
-        a shard worker can discard thousands of finished kernels without
-        leaking suspended generator frames.
+        """Dispose of the simulation: abandon pending composites, kill live
+        processes, cancel queued callbacks and clear the queue.  No live
+        coroutine is left, so a shard worker can discard thousands of
+        finished kernels without leaking suspended generator frames.
         """
-        for composite in self._composites:
-            if not composite.triggered:
-                composite.abandon()
-        self._composites = []
+        for composite in list(self._composites):
+            composite.abandon()
         for proc in list(self._processes):
             if proc.alive:
                 proc.kill()
         self._processes = []
+        for _when, _order, owner, _gen, _value in self._queue:
+            if isinstance(owner, Callback):
+                owner.cancel()
         self._queue.clear()
-
-    def call_at(self, when: float, fn: Callable[[], None], name: str = "") -> None:
-        """Run a plain callable at absolute time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"call_at({when}) is in the past (now={self.now})")
-
-        def _caller() -> Generator:
-            yield when - self.now
-            fn()
-
-        self.spawn(_caller(), name=name or f"_call_at@{when:.3f}")
 
     # -- scheduling internals ------------------------------------------------
 
     def _schedule_resume(
         self,
-        proc: Process,
+        proc: Any,
         value: Any,
         delay: float = 0.0,
         at: Optional[float] = None,
@@ -521,22 +548,7 @@ class Simulator:
 
         Returns the final simulation time.
         """
-        while self._queue:
-            when, _order, proc, gen, value = self._queue[0]
-            if not proc.alive or gen != proc._gen:
-                # Stale resumption of a killed process (e.g. a cancelled
-                # retransmission timer) or of an interrupted delay sleep:
-                # discard without touching the clock.
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and when > until:
-                self.now = max(self.now, until)
-                return self.now
-            heapq.heappop(self._queue)
-            if when < self.now - 1e-9:
-                raise SimulationError("event queue went backwards in time")
-            self.now = when
-            proc._step(value)
+        self._dispatch(math.inf if until is None else until, Event(self))
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -548,19 +560,27 @@ class Simulator:
         diluted by background processes (thermal loops, samplers) that
         would otherwise keep the queue alive forever.
         """
-        while self._queue and not event.triggered:
-            when, _order, proc, gen, value = heapq.heappop(self._queue)
-            if not proc.alive or gen != proc._gen:
+        self._dispatch(limit, event)
+        return event.value if event.triggered else None
+
+    def _dispatch(self, limit: float, stop: Event) -> None:
+        queue = self._queue
+        while queue and not stop.triggered:
+            when, _order, owner, gen, value = queue[0]
+            if not owner.alive or gen != owner._gen:
+                # Stale entry of a killed process, a cancelled callback or
+                # an interrupted delay sleep: discard without touching the
+                # clock.
+                heapq.heappop(queue)
                 continue
             if when > limit:
-                heapq.heappush(self._queue, (when, _order, proc, gen, value))
                 self.now = max(self.now, limit)
-                break
+                return
+            heapq.heappop(queue)
             if when < self.now - 1e-9:
                 raise SimulationError("event queue went backwards in time")
             self.now = when
-            proc._step(value)
-        return event.value if event.triggered else None
+            owner._step(value)
 
     def run_until_process(self, proc: Process, limit: float = 1e12) -> Any:
         """Run until ``proc`` completes; returns its result."""

@@ -8,7 +8,7 @@ consumer processes, with optional capacity limits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.sim.kernel import Event, SimulationError, Simulator
 
@@ -183,10 +183,6 @@ class Resource:
             self._waiters.popleft().trigger(None)
         else:
             self.in_use -= 1
-
-    def locked(self) -> Generator:
-        """Generator helper: ``yield from resource.locked()`` acquires it."""
-        yield self.acquire()
 
 
 class Gauge:

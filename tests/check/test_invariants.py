@@ -130,7 +130,7 @@ class TestTimerHygiene:
         def leaker():
             evt = sim.timeout(10_000.0)
             # Simulate the pre-fix transport bug: the event is marked
-            # satisfied by hand but the backing timer keeps sleeping.
+            # satisfied by hand but its timer callback stays queued.
             evt.triggered = True
             yield 100.0
 

@@ -36,3 +36,26 @@ def test_invalid_scheduler_rejected():
 def test_invalid_cache_capacity_rejected():
     with pytest.raises(ValueError):
         GBoosterConfig(cache_capacity=0).validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rto_ms", -5.0),
+        ("rto_ms", float("nan")),
+        ("rto_ms", float("inf")),
+        ("frame_timeout_ms", -1.0),
+        ("frame_timeout_ms", 0.0),
+        ("traffic_epoch_ms", 0.0),
+        ("traffic_epoch_ms", float("nan")),
+        ("prediction_horizon_ms", -500.0),
+        ("prediction_horizon_ms", float("inf")),
+    ],
+)
+def test_bad_scheduled_delay_rejected_naming_the_field(field, value):
+    """Each of these delays is scheduled on the kernel; a bad one used to
+    pass validate() and crash deep in the run (negative-delay errors from
+    the RTO or watchdog timers, ZeroDivisionError, time running
+    backwards)."""
+    with pytest.raises(ValueError, match=f"^{field} must be positive"):
+        GBoosterConfig(**{field: value}).validate()

@@ -179,3 +179,30 @@ class TestRunner:
         assert "toy: acceptance gate failed" in exc.value.code
         assert "value too small" in exc.value.code
         assert (tmp_path / "TOY.json").exists()
+
+    def test_part_that_cannot_be_built_is_a_listed_problem(self, tmp_path, capsys):
+        def no_bundle(bench):
+            raise ValueError("bench carries no flight bundle")
+
+        spec, _ = _toy_spec(lambda _: _toy_artifact())
+        spec = dataclasses.replace(
+            spec,
+            check=lambda b: ["incident: loss burst froze no flight bundle"],
+            outputs=spec.outputs + (
+                Output("--bundle", "BUNDLE.json", "bundle path", part=no_bundle),
+            ),
+        )
+        bundle = tmp_path / "BUNDLE.json"
+        with pytest.raises(SystemExit) as exc:
+            run(spec, _args(tmp_path, "", bundle=str(bundle)))
+        assert "toy: acceptance gate failed" in exc.value.code
+        assert "incident: loss burst froze no flight bundle" in exc.value.code
+        assert (
+            f"{bundle} not written: bench carries no flight bundle"
+            in exc.value.code
+        )
+        assert not bundle.exists()
+        assert (tmp_path / "TOY.json").exists()
+        assert capsys.readouterr().out.rstrip().endswith(
+            f"wrote {tmp_path / 'TOY.json'}"
+        )

@@ -136,9 +136,10 @@ def test_acceptance_scenario_crash_plus_lossy_link(failure_config):
     assert all(f.presented_at is not None for f in result.engine.frames)
     # After the crash, the dead node owes the client nothing: the queue
     # drained and no retransmission timer survived the session.
-    sim = result.engine.sim
+    client = result.engine.backend
+    transports = [*client.uplinks.values(), result.nodes[0].downlink]
     assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
+        timer.alive for t in transports for timer in t._rto_timers.values()
     )
 
 

@@ -102,10 +102,24 @@ def test_bytes_accounting_includes_arq_header():
     assert transport.stats.bytes_offered > 1000
 
 
+def _record_timers(sim):
+    """Every callback the kernel hands out from ``call_later``."""
+    made = []
+    call_later = sim.call_later
+
+    def recording(*args, **kwargs):
+        made.append(call_later(*args, **kwargs))
+        return made[-1]
+
+    sim.call_later = recording
+    return made
+
+
 def test_rto_timer_cancelled_on_ack():
-    """ACKed messages tear their RTO processes down: the queue drains at
+    """ACKed messages cancel their RTO timers: the queue drains at
     delivery time, not after the exponential-backoff window."""
     sim = Simulator()
+    timers = _record_timers(sim)
     transport, _radio, delivered = build(sim, rto_ms=30.0)
     transport.send(Message.of_size(1000, kind="x"))
     sim.run()  # no `until`: terminates only when the queue truly drains
@@ -113,14 +127,13 @@ def test_rto_timer_cancelled_on_ack():
     # Delivery takes ~1 ms link latency + tx time; far below the 30 ms RTO.
     assert sim.now < 30.0
     assert transport._rto_timers == {}
-    assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
-    )
+    assert timers and not any(t.alive for t in timers)
 
 
 def test_queue_drains_after_last_delivery_under_loss():
     """Even with retransmissions, no timer survives the final ACK."""
     sim = Simulator(seed=3)
+    timers = _record_timers(sim)
     transport, _radio, delivered = build(sim, loss=0.3, rto_ms=20.0)
     for _ in range(30):
         transport.send(Message.of_size(500))
@@ -128,9 +141,7 @@ def test_queue_drains_after_last_delivery_under_loss():
     assert len(delivered) == 30
     assert transport.in_flight() == 0
     assert transport._rto_timers == {}
-    assert not any(
-        p.alive and ".rto." in p.name for p in sim._processes
-    )
+    assert timers and not any(t.alive for t in timers)
 
 
 def test_resend_does_not_compound_header_overhead():

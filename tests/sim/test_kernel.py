@@ -290,11 +290,10 @@ def test_any_of_cleans_up_loser_watchers():
     sim.run()
     assert combined.triggered
     assert combined.value == (1, "fast")
-    # The watcher parked on the never-firing event has been torn down.
+    # The callback parked on the never-firing event has been cancelled.
     assert never._waiters == []
-    assert not any(
-        p.alive and p.name.startswith("_anyof.") for p in sim._processes
-    )
+    assert not any(cb.alive for cb in combined._callbacks)
+    assert sim._queue == []
 
 
 def test_run_until_limit_stops_clock():
@@ -474,19 +473,19 @@ class TestCancellableTimeouts:
 
     def test_no_residual_timer_processes_after_run(self):
         sim = Simulator()
+        timers = []
 
         def proc():
             evt = sim.timeout(30_000.0)
+            timers.append(evt)
             sim.call_at(2.0, lambda: evt.trigger())
             yield evt
 
         sim.spawn(proc())
-        sim.run()
-        leftovers = [
-            p for p in sim._processes
-            if p.alive and p.name.startswith("_timer")
-        ]
-        assert leftovers == []
+        end = sim.run()
+        assert end == 2.0
+        assert not timers[0].timer.alive
+        assert sim._queue == []
 
 
 class TestSpuriousWakeups:
@@ -566,11 +565,8 @@ class TestAllOfReaping:
     """Regression tests: ``all_of`` watchers must be reapable when one of
     the source events never triggers (the leak ``any_of`` already fixed)."""
 
-    def _alive_watchers(self, sim):
-        return [
-            p for p in sim._processes
-            if p.alive and p.name.startswith("_allof.")
-        ]
+    def _alive_watchers(self, combined):
+        return [cb for cb in combined._callbacks if cb.alive]
 
     def test_abandon_reaps_watchers_and_waiter_lists(self):
         sim = Simulator()
@@ -579,10 +575,11 @@ class TestAllOfReaping:
         combined = sim.all_of([fast, never], name="stuck")
         sim.run()
         assert not combined.triggered
-        assert len(self._alive_watchers(sim)) == 1  # parked on `never`
+        parked = self._alive_watchers(combined)
+        assert len(parked) == 1 and never._waiters == parked
         combined.abandon()
         assert never._waiters == []
-        assert self._alive_watchers(sim) == []
+        assert self._alive_watchers(combined) == []
 
     def test_abandon_reaps_orphaned_pending_timeout(self):
         sim = Simulator()
@@ -603,12 +600,13 @@ class TestAllOfReaping:
         sim = Simulator()
         never = sim.event("never")
         other = sim.event("other")
-        sim.all_of([never, other], name="leaky")
+        combined = sim.all_of([never, other], name="leaky")
         sim.run()
-        assert len(self._alive_watchers(sim)) == 2
+        assert len(self._alive_watchers(combined)) == 2
         sim.teardown()
         assert never._waiters == []
         assert other._waiters == []
+        assert self._alive_watchers(combined) == []
         assert not any(p.alive for p in sim._processes)
         assert sim._queue == []
 
@@ -631,3 +629,137 @@ class TestAllOfReaping:
         combined.abandon()
         assert never_a._waiters == []
         assert never_b._waiters == []
+
+
+def _yield_delay(sim, delay):
+    def proc():
+        yield delay
+
+    sim.spawn(proc(), name="sleeper")
+    sim.run()
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        _yield_delay,
+        lambda sim, delay: sim.timeout(delay),
+        lambda sim, delay: sim.call_later(delay, lambda: None),
+        lambda sim, delay: sim.call_at(sim.now + delay, lambda: None),
+        lambda sim, delay: sim.spawn_at(sim.now + delay, iter(())),
+    ],
+    ids=["yield", "timeout", "call_later", "call_at", "spawn_at"],
+)
+def test_bad_delay_rejected_naming_the_value(schedule, delay):
+    """One check guards every entry point that schedules ahead.  NaN used
+    to pass ``delay < 0`` and fail later as time running backwards."""
+    sim = Simulator()
+    sim.now = 10.0
+    with pytest.raises(SimulationError, match=f"delay {delay!r}$"):
+        schedule(sim, delay)
+    assert sim._queue == []
+
+
+class TestCallbacks:
+    """The heap-native primitive behind timers, composites and the
+    substrates' one-shot work: no process, no generator."""
+
+    def test_call_later_runs_once_at_the_delay(self):
+        sim = Simulator()
+        log = []
+        handle = sim.call_later(4.0, lambda: log.append(sim.now))
+        assert handle.alive
+        sim.run()
+        assert log == [4.0]
+        assert not handle.alive
+        assert sim._processes == []
+
+    def test_cancelled_callback_never_runs_nor_holds_the_clock(self):
+        sim = Simulator()
+        log = []
+        handle = sim.call_later(5_000.0, lambda: log.append("late"))
+        sim.call_later(1.0, handle.cancel)
+        assert sim.run() == 1.0
+        assert log == []
+        handle.cancel()  # idempotent
+        assert not handle.alive
+
+    def test_on_trigger_passes_the_value(self):
+        sim = Simulator()
+        evt = sim.event()
+        log = []
+        sim.on_trigger(evt, lambda value: log.append((sim.now, value)))
+        sim.call_at(3.0, lambda: evt.trigger("go"))
+        sim.run()
+        assert log == [(3.0, "go")]
+
+    def test_on_trigger_of_fired_event_runs_at_once(self):
+        sim = Simulator()
+        evt = sim.event()
+        evt.trigger("early")
+        log = []
+        sim.on_trigger(evt, log.append)
+        assert sim.run() == 0.0
+        assert log == ["early"]
+
+    def test_cancelled_event_callback_leaves_the_waiter_list(self):
+        sim = Simulator()
+        evt = sim.event()
+        handle = sim.on_trigger(evt, lambda value: pytest.fail("ran"))
+        sim.run()  # arms: the callback is now parked on the event
+        assert evt._waiters == [handle]
+        handle.cancel()
+        assert evt._waiters == []
+        evt.trigger()
+        sim.run()
+
+    def test_composites_and_timeouts_spawn_no_process(self):
+        sim = Simulator()
+        a = sim.timeout(1.0, value="a")
+        b = sim.timeout(2.0, value="b")
+        both = sim.all_of([a, b])
+        first = sim.any_of([sim.timeout(3.0), sim.event()])
+        sim.call_at(4.0, lambda: None)
+        sim.run()
+        assert sim._processes == []
+        assert both.value == ["a", "b"]
+        assert first.value == (0, None)
+        assert sim._composites == {}
+
+
+class TestOrderingContract:
+    """A callback is armed the way a spawned process's first step is, so
+    same-time ties order exactly as they did when these helpers were
+    processes.  Pushing the delayed entry (or joining the waiter list) at
+    creation instead would reorder both cases below."""
+
+    def test_callback_and_process_with_equal_delay_fire_in_spawn_order(self):
+        sim = Simulator()
+        log = []
+
+        def proc():
+            yield 5.0
+            log.append("process")
+
+        sim.spawn(proc())
+        sim.call_later(5.0, lambda: log.append("callback"))
+        sim.spawn(proc())
+        sim.run()
+        assert log == ["process", "callback", "process"]
+
+    def test_event_callback_and_process_waiter_wake_in_registration_order(self):
+        sim = Simulator()
+        evt = sim.event()
+        log = []
+
+        def waiter():
+            value = yield evt
+            log.append(("process", value))
+
+        sim.spawn(waiter())
+        sim.on_trigger(evt, lambda value: log.append(("callback", value)))
+        sim.spawn(waiter())
+        sim.call_later(1.0, lambda: evt.trigger("x"))
+        sim.run()
+        assert log == [("process", "x"), ("callback", "x"), ("process", "x")]
